@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all help test race short bench fuzz fuzz-smoke chaos crash vet
+.PHONY: all help test race short bench fuzz fuzz-smoke chaos crash stress vet
 
 all: test
 
@@ -15,6 +15,7 @@ help:
 	@echo "  bench       all benchmarks with -benchmem; records BENCH_PR10.json via cmd/benchjson"
 	@echo "  chaos       seeded transport-chaos suite under -race + wire fuzz smoke"
 	@echo "  crash       subprocess SIGKILL matrix: 16 seeded kills of a real monitord under -race"
+	@echo "  stress      crash, chaos, resume-window and rollout suites at -count=20 (flake hunt)"
 	@echo "  fuzz        brief fuzz passes (wire decoder, spec parser, archive segments)"
 	@echo "  fuzz-smoke  10s each of the segment, wire, ledger and spec-parser fuzzers"
 	@echo "  vet         go vet everything"
@@ -54,6 +55,17 @@ chaos:
 # duplicates — all under the race detector.
 crash:
 	$(GO) test -race -run 'TestCrashRecovery' -count=1 ./cmd/monitord
+
+# Flake hunt: the suites whose failures have been intermittent rather
+# than deterministic — the crash matrix, the transport-chaos sweep with
+# the resume-window tests, and spec rollout (fleet and controller) —
+# each run twenty times under the race detector. A test that fails one
+# run in ten is caught here by the target rather than by luck.
+stress:
+	$(GO) test -race -run 'TestCrashRecovery' -count=20 ./cmd/monitord
+	$(GO) test -race -run 'TestChaos|TestDrain|TestQuarantine|TestErrorBudget|TestResumeInside' -count=20 ./internal/fleet
+	$(GO) test -race -run 'TestRollout' -count=20 ./internal/fleet
+	$(GO) test -race -count=20 ./internal/specreg
 
 short:
 	$(GO) test -short ./...

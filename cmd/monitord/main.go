@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		specMaxDiv  = fs.Float64("spec-max-divergence", 0.01, "divergent-batch fraction above which a shadowing candidate is rolled back")
 		specMaxBurn = fs.Float64("spec-max-slo-burn", 0, "SLO burn fraction above which a shadowing candidate is rolled back (0 = don't tie rollback to the SLO)")
 		specAutoPro = fs.Bool("spec-auto-promote", false, "promote a candidate automatically once -spec-min-shadow-batches have compared clean")
-		flightEvery = fs.Int("flight-sample", 64, "record per-stage latency spans for every Nth batch into the flight recorder; dump with SIGQUIT or /debug/flight (0 = off)")
+		flightEvery = fs.Int("flight-sample", flight.DefaultSampleEvery, "record per-stage latency spans for every Nth batch into the flight recorder; dump with SIGQUIT or /debug/flight (0 = off)")
 		sloTarget   = fs.Duration("slo-target", 100*time.Millisecond, "detection-latency SLO: batches at or under this end-to-end latency are good (0 = no SLO)")
 		sloObj      = fs.Float64("slo-objective", 0.99, "fraction of batches that must meet -slo-target before /healthz reports degraded")
 		sloWindow   = fs.Duration("slo-window", time.Minute, "rolling window the SLO burn rate is computed over")

@@ -24,8 +24,16 @@ func (m *Monitor) RuleNames() []string {
 // step latency, and per-rule step-latency histograms plus violation
 // counters keyed by rule index (labelled with the rule name). One
 // Metrics is built per (registry, spec) pair and shared by every
-// OnlineMonitor evaluating that spec — the counters are atomic, so
+// OnlineMonitor evaluating that spec — the cells are atomic, so
 // concurrent sessions aggregate safely.
+//
+// The counters are exact but published per push: each session counts
+// in plain fields and flushes them once per PushFrame, PushFrames or
+// Close return, so they equal ground truth whenever no push is in
+// flight. The two latency histograms are sampled: they observe only
+// the steps of batches bracketed by BeginStageTiming/EndStageTiming
+// (the fleet times one batch in 64 by default), because timing every
+// step would cost more than the steps themselves.
 type Metrics struct {
 	framesDecoded *obs.Counter
 	framesStale   *obs.Counter
@@ -41,9 +49,9 @@ type Metrics struct {
 // NewMetrics registers the monitor metric families on reg. spec labels
 // every series (the fleet server runs one compiled monitor per spec
 // selection); ruleNames must be in rule-set order — the same order the
-// stream checker evaluates, so rule index i on the step observer and
-// ruleNames[i] name the same rule. A nil registry returns nil, which
-// Instrument treats as "not instrumented".
+// stream checker evaluates, so rule index i of the per-rule timing
+// accumulator and ruleNames[i] name the same rule. A nil registry
+// returns nil, which Instrument treats as "not instrumented".
 func NewMetrics(reg *obs.Registry, spec string, ruleNames []string) *Metrics {
 	if reg == nil {
 		return nil
@@ -59,13 +67,13 @@ func NewMetrics(reg *obs.Registry, spec string, ruleNames []string) *Metrics {
 		steps: reg.Counter("cpsmon_monitor_steps_total",
 			"Evaluation grid steps finalized.", specLabel),
 		stepLatency: reg.Histogram("cpsmon_monitor_step_latency_seconds",
-			"Whole-checker latency of one finalized grid step.", stepLatencyBuckets(), specLabel),
+			"Whole-checker latency of one finalized grid step, observed on stage-timed (sampled) batches only.", stepLatencyBuckets(), specLabel),
 		ruleIndex: make(map[string]int, len(ruleNames)),
 	}
 	for i, name := range ruleNames {
 		ruleLabel := obs.Label{Name: "rule", Value: name}
 		m.ruleStep = append(m.ruleStep, reg.Histogram("cpsmon_monitor_rule_step_latency_seconds",
-			"Per-rule incremental evaluation latency per step.", stepLatencyBuckets(), specLabel, ruleLabel))
+			"Per-rule incremental evaluation latency per step, observed on stage-timed (sampled) batches only.", stepLatencyBuckets(), specLabel, ruleLabel))
 		m.ruleViolations = append(m.ruleViolations, reg.Counter("cpsmon_monitor_rule_violations_total",
 			"Closed violation intervals per rule.", specLabel, ruleLabel))
 		m.ruleIndex[name] = i
@@ -74,11 +82,40 @@ func NewMetrics(reg *obs.Registry, spec string, ruleNames []string) *Metrics {
 }
 
 // Instrument attaches the metrics to this monitor session: frame,
-// step and event accounting plus the per-rule step-latency observer.
-// Pass nil to detach. Instrument must be called before the first push;
-// the updates it enables are allocation-free, preserving the hot
-// path's zero-allocation contract.
+// step, event and violation accounting, flushed once per push, plus
+// step and per-rule latency observations on stage-timed batches. Pass
+// nil to detach. Call it between pushes (counts pending from earlier
+// pushes were already flushed or dropped); the updates it enables are
+// allocation-free, preserving the hot path's zero-allocation contract.
 func (o *OnlineMonitor) Instrument(m *Metrics) {
 	o.met = m
-	o.installObserver()
+	o.cnt.violations = nil
+	if m != nil {
+		o.cnt.violations = make([]uint64, len(m.ruleViolations))
+	}
+}
+
+// flush publishes the session's pending counts to the shared metrics
+// and zeroes them: one atomic add per nonzero count per push.
+func (o *OnlineMonitor) flush() {
+	c := &o.cnt
+	if m := o.met; m != nil {
+		addNonzero(m.framesDecoded, c.decoded)
+		addNonzero(m.framesStale, c.stale)
+		addNonzero(m.steps, c.steps)
+		addNonzero(m.events, c.events)
+		for i, n := range c.violations {
+			if n != 0 {
+				m.ruleViolations[i].Add(n)
+				c.violations[i] = 0
+			}
+		}
+	}
+	c.decoded, c.stale, c.steps, c.events = 0, 0, 0, 0
+}
+
+func addNonzero(c *obs.Counter, n uint64) {
+	if n != 0 {
+		c.Add(n)
+	}
 }

@@ -58,17 +58,29 @@ type OnlineMonitor struct {
 	closed   bool
 
 	// met, when non-nil, receives frame/step/event accounting; see
-	// Instrument. All updates are atomic counter bumps, so the
-	// allocation-free contract above holds with metrics enabled.
+	// Instrument. The session counts into cnt with plain increments and
+	// flush publishes the counts once per push, so the shared atomics
+	// see one update per push rather than one per frame, step and event.
 	met *Metrics
+	cnt counts
 
 	// Stage-timing state (see stagetiming.go): timing is armed per
 	// sampled batch by BeginStageTiming; the accumulators attribute the
-	// batch's wall time to decode vs evaluation.
+	// batch's wall time to decode vs evaluation and, through the
+	// checker's armed per-rule accumulator stepNanos, to each rule.
 	timing      bool
 	decodeNanos int64
 	evalNanos   int64
 	ruleNanos   []int64
+	stepNanos   []int64
+}
+
+// counts is a session's not-yet-published metric accounting.
+type counts struct {
+	decoded, stale, steps, events uint64
+	// violations is indexed like Metrics.ruleViolations; nil unless
+	// the session is instrumented.
+	violations []uint64
 }
 
 // Online creates a streaming session of this monitor over the given
@@ -120,7 +132,9 @@ func (o *OnlineMonitor) PushFrame(f can.Frame) ([]OnlineEvent, error) {
 		return nil, fmt.Errorf("core: out-of-order frame at %v after %v", f.Time, o.lastTime)
 	}
 	o.events = o.events[:0]
-	if err := o.push(f); err != nil {
+	err := o.push(f)
+	o.flush()
+	if err != nil {
 		return nil, err
 	}
 	return o.events, nil
@@ -139,12 +153,11 @@ func (o *OnlineMonitor) PushFrames(frames []can.Frame) (events []OnlineEvent, re
 		return nil, 0, fmt.Errorf("core: PushFrames after Close")
 	}
 	o.events = o.events[:0]
+	defer o.flush()
 	for _, f := range frames {
 		if o.sawFrame && f.Time < o.lastTime {
 			rejected++
-			if o.met != nil {
-				o.met.framesStale.Inc()
-			}
+			o.cnt.stale++
 			continue
 		}
 		if err := o.push(f); err != nil {
@@ -161,9 +174,7 @@ func (o *OnlineMonitor) push(f can.Frame) error {
 	if !ok {
 		return nil
 	}
-	if o.met != nil {
-		o.met.framesDecoded.Inc()
-	}
+	o.cnt.decoded++
 	o.sawFrame = true
 	o.lastTime = f.Time
 
@@ -198,22 +209,14 @@ func (o *OnlineMonitor) push(f can.Frame) error {
 // finalizeStep pushes the pending step into the checker and converts
 // its events into the scratch buffer.
 func (o *OnlineMonitor) finalizeStep() error {
-	var t0 time.Time
-	timed := o.met != nil || o.timing
-	if timed {
-		t0 = time.Now()
+	var evs []speclang.Event
+	var err error
+	if o.timing {
+		evs, err = o.timedStep()
+	} else {
+		evs, err = o.sc.Step(o.latched, o.updated)
 	}
-	evs, err := o.sc.Step(o.latched, o.updated)
-	if timed {
-		d := time.Since(t0)
-		if o.met != nil {
-			o.met.stepLatency.Observe(d.Seconds())
-			o.met.steps.Inc()
-		}
-		if o.timing {
-			o.evalNanos += int64(d)
-		}
-	}
+	o.cnt.steps++
 	if err != nil {
 		return err
 	}
@@ -236,6 +239,7 @@ func (o *OnlineMonitor) Close() ([]OnlineEvent, error) {
 		return nil, fmt.Errorf("core: Close called twice")
 	}
 	o.events = o.events[:0]
+	defer o.flush()
 	last := int(o.lastTime / o.period) // floor: trailing partial-step frames fall outside the grid
 	for o.pending <= last {
 		if err := o.finalizeStep(); err != nil {
@@ -259,12 +263,10 @@ func (o *OnlineMonitor) convert(evs []speclang.Event) {
 		if e.Kind == speclang.ViolationEnd {
 			oe.Class = o.triage[e.Rule].Classify(e.Violation)
 		}
-		if o.met != nil {
-			o.met.events.Inc()
-			if e.Kind == speclang.ViolationEnd {
-				if i, ok := o.met.ruleIndex[e.Rule]; ok {
-					o.met.ruleViolations[i].Inc()
-				}
+		o.cnt.events++
+		if o.met != nil && e.Kind == speclang.ViolationEnd {
+			if i, ok := o.met.ruleIndex[e.Rule]; ok {
+				o.cnt.violations[i]++
 			}
 		}
 		o.events = append(o.events, oe)

@@ -24,7 +24,6 @@ func TestStageTimingAttribution(t *testing.T) {
 	}
 	rules := m.RuleNames()
 	om.Instrument(NewMetrics(obs.NewRegistry(), "strict", rules))
-	om.EnableStageTiming(len(rules))
 
 	frames := log.Frames()
 	half := len(frames) / 2
@@ -78,7 +77,6 @@ func TestOnlinePushFrameAllocFreeWithStageTiming(t *testing.T) {
 	}
 	rules := m.RuleNames()
 	om.Instrument(NewMetrics(obs.NewRegistry(), "strict", rules))
-	om.EnableStageTiming(len(rules))
 	frames := log.Frames()
 	warm := 1000
 	if len(frames) < warm+1500 {

@@ -2,13 +2,17 @@ package fleet
 
 // Flight-recorder integration: where the fleet server feeds the
 // sampled latency tracer (internal/flight) and the detection-latency
-// SLO. The wiring keeps the PR3/PR8 pinned hot-path costs intact:
+// SLO. The wiring keeps the pinned hot-path costs intact:
 //
 //   - Every batch pays one atomic increment (the sampling decision),
 //     one histogram observation (the per-vehicle e2e latency) and one
 //     SLO bucket update — all lock-free and allocation-free.
-//   - Only a sampled batch arms core's stage timing and records spans;
-//     span recording itself is allocation-free ring writes.
+//   - Only a sampled batch arms core's stage timing, which is also the
+//     only path that feeds the monitor's step and per-rule latency
+//     histograms; with a recorder the same timings become spans (span
+//     recording itself is allocation-free ring writes). Without a
+//     recorder batches are still sampled, one in
+//     flight.DefaultSampleEvery, so the histograms stay fed.
 //   - Strings are interned into flight refs once per session attach
 //     and once per spec compile, never on the batch path.
 
@@ -20,10 +24,9 @@ import (
 )
 
 // setupFlight wires a session into the server's flight recorder: the
-// vehicle identity is interned, the per-vehicle end-to-end latency
-// histogram registered, and core's per-batch stage timing armed. Called
-// once per session from handleHello and the crash-recovery restorer;
-// a no-op without a recorder.
+// vehicle identity is interned and the per-vehicle end-to-end latency
+// histogram registered. Called once per session from handleHello and
+// the crash-recovery restorer; a no-op without a recorder.
 func (sess *session) setupFlight() {
 	flt := sess.srv.cfg.Flight
 	if flt == nil {
@@ -33,7 +36,16 @@ func (sess *session) setupFlight() {
 	sess.e2e = sess.srv.reg.Histogram("cpsmon_fleet_e2e_latency_seconds",
 		"End-to-end frame-batch latency from queue entry to events emitted, per vehicle.",
 		obs.DefaultLatencyBuckets(), obs.Label{Name: "vehicle", Value: sess.vehicle})
-	sess.om.EnableStageTiming(len(sess.entry.rules))
+}
+
+// sample is the per-batch sampling decision: the recorder's when the
+// server has one, otherwise one batch in flight.DefaultSampleEvery
+// fleet-wide. Either way it is one atomic increment.
+func (sess *session) sample() bool {
+	if flt := sess.srv.cfg.Flight; flt != nil {
+		return flt.Sample()
+	}
+	return sess.srv.sampleTick.Add(1)%flight.DefaultSampleEvery == 0
 }
 
 // observeE2E feeds one batch's end-to-end latency to the per-vehicle
@@ -46,15 +58,18 @@ func (sess *session) observeE2E(e2e time.Duration) {
 	sess.srv.cfg.SLO.Observe(e2e)
 }
 
-// recordFlight publishes a sampled batch's spans and exemplar: queue
-// wait (ingest), the decode/eval split core's stage timing attributed,
-// per-rule eval spans, and the emit stage (event serialization through
-// the write buffer). tApply is when the worker dequeued the batch and
-// began applying; tEmit is when application finished and emission
-// began.
+// recordFlight ends a sampled batch's stage timing and, with a
+// recorder, publishes its spans and exemplar: queue wait (ingest), the
+// decode/eval split core's stage timing attributed, per-rule eval
+// spans, and the emit stage (event serialization through the write
+// buffer). tApply is when the worker dequeued the batch and began
+// applying; tEmit is when application finished and emission began.
 func (sess *session) recordFlight(it item, tApply, tEmit time.Time, e2e time.Duration) {
-	flt := sess.srv.cfg.Flight
 	decode, eval, perRule := sess.om.EndStageTiming()
+	flt := sess.srv.cfg.Flight
+	if flt == nil {
+		return
+	}
 	now := time.Now()
 	ingest := tApply.Sub(it.enq)
 	emit := now.Sub(tEmit)

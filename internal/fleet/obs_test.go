@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -256,5 +257,102 @@ func TestWireMetricsOnSharedRegistry(t *testing.T) {
 	}
 	if got := sumFamily(samples, "cpsmon_wire_bytes_total"); got == 0 {
 		t.Error("no wire bytes counted")
+	}
+}
+
+// TestRefusalReasonsCounted forces refusals through the handshake and
+// checks each lands on its own cpsmon_fleet_refusals_total{reason}
+// series, so a refused resume is diagnosable from /metrics alone.
+func TestRefusalReasonsCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, func(c *Config) { c.Metrics = reg })
+	refuse := func(rec wire.Record) string {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.Write(conn, rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("%T: %v", rec, err)
+		}
+		e, ok := got.(wire.Error)
+		if !ok {
+			t.Fatalf("%T answered with %T, want a refusal", rec, got)
+		}
+		return e.Msg
+	}
+	if msg := refuse(wire.Resume{Version: wire.Version, Token: 42}); msg != "unknown or expired session token" {
+		t.Errorf("unknown token refused with %q", msg)
+	}
+	refuse(wire.Resume{Version: wire.Version, Token: 42, Epoch: 7})
+	refuse(wire.Hello{Version: 99, Vehicle: "v"})
+	refuse(wire.Hello{Version: wire.Version, Vehicle: "v", Spec: "no-such-spec"})
+
+	samples := scrape(t, reg)
+	want := map[string]float64{
+		"unknown_token": 1, "stale_epoch": 1, "version": 1, "spec": 1,
+		"limit": 0, "handshake": 0, "draining": 0, "setup": 0, "ledger": 0,
+	}
+	for reason, n := range want {
+		key := `cpsmon_fleet_refusals_total{reason="` + reason + `"}`
+		got, ok := samples[key]
+		if !ok {
+			t.Errorf("%s missing from exposition", key)
+			continue
+		}
+		if got != n {
+			t.Errorf("%s = %v, want %v", key, got, n)
+		}
+	}
+	if got, st := sumFamily(samples, "cpsmon_fleet_refusals_total"), srv.Stats(); got != float64(st.SessionsRefused) || got != 4 {
+		t.Errorf("refusals by reason sum to %v, sessions refused = %d; want both 4", got, st.SessionsRefused)
+	}
+}
+
+// TestRuleLatencySampledWithoutRecorder checks that a server with no
+// flight recorder still stage-times sampled batches: the step and
+// per-rule latency histograms are populated, every rule holds exactly
+// the step histogram's observations, and they cover only a sample of
+// the steps the monitor finalized.
+func TestRuleLatencySampledWithoutRecorder(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, func(c *Config) {
+		c.Metrics = reg
+		c.Flight = nil
+	})
+	for i, log := range fleetScenarios(t, 2, 20*time.Second) {
+		c, err := DialOptions(addr, Options{Vehicle: fmt.Sprintf("veh-%d", i), Spec: "strict"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Replay(log, 0); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	samples := scrape(t, reg)
+	steps := samples[`cpsmon_monitor_steps_total{spec="strict"}`]
+	sampled := samples[`cpsmon_monitor_step_latency_seconds_count{spec="strict"}`]
+	if sampled == 0 || sampled >= steps {
+		t.Fatalf("step latency observations = %v of %v steps; want a nonzero sample", sampled, steps)
+	}
+	rules := 0
+	for k, v := range samples {
+		if !strings.HasPrefix(k, "cpsmon_monitor_rule_step_latency_seconds_count{") {
+			continue
+		}
+		rules++
+		if v != sampled {
+			t.Errorf("%s = %v, want %v (one per rule per sampled step)", k, v, sampled)
+		}
+	}
+	if rules == 0 {
+		t.Fatal("no per-rule step latency series exposed")
 	}
 }

@@ -351,9 +351,6 @@ func (sess *session) adoptShadow(st *rolloutState) {
 	sess.srv.stats.shadowAdoptions.Add(1)
 
 	old.Close()
-	if sess.srv.cfg.Flight != nil {
-		sess.om.EnableStageTiming(len(sess.entry.rules))
-	}
 }
 
 // dropShadow discards the session's candidate without delivering

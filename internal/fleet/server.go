@@ -243,11 +243,13 @@ type Server struct {
 	shards [numShards]shard
 
 	// parkMu guards the v2 resume tables: attached sessions by token
-	// (for force-detach on a racing resume) and parked sessions by
-	// token (for claim and reap).
+	// (for force-detach on a racing resume), parked sessions by token
+	// (for claim and reap), and the tokens a shutdown reaped but left
+	// open in the ledger for the next process (handedOn).
 	parkMu   sync.Mutex
 	attached map[uint64]*session
 	parkedBy map[uint64]*parked
+	handedOn map[uint64]struct{}
 
 	// specMu guards the resolved-spec cache and the active epoch: a
 	// promote replaces the default entry and advances the epoch in one
@@ -266,6 +268,16 @@ type Server struct {
 	rollout        atomic.Pointer[rolloutState]
 	rolloutGen     atomic.Uint64
 	shadowSessions atomic.Int64
+
+	// sampleTick drives the stage-timing sampling decision when no
+	// flight recorder is configured (see session.sample).
+	sampleTick atomic.Uint64
+
+	// grantHook, when set, runs on the hello and resume paths right
+	// after the session grant is written and before the attachment
+	// starts serving (resumed tells which path). Tests use it to hold a
+	// session inside that window.
+	grantHook func(resumed bool)
 
 	reg   *obs.Registry
 	stats counters
@@ -316,6 +328,7 @@ func NewServer(cfg Config) (*Server, error) {
 		specs:    make(map[string]*specEntry),
 		attached: make(map[uint64]*session),
 		parkedBy: make(map[uint64]*parked),
+		handedOn: make(map[uint64]struct{}),
 		reg:      reg,
 		stats:    newCounters(reg),
 	}
@@ -470,21 +483,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // still owed a verdict, and those whose verdict never reached the
 // client (the resume fetches it). Their grace timers keep running, so
 // the wait is bounded by the resume grace even if the client is gone.
+// With a ledger the drain waits for none of them: discard leaves both
+// kinds open in the ledger, the next process rebuilds them and the
+// client's resume finds them there, so waiting would only stall the
+// drain.
 func (s *Server) awaitedParked() int {
+	if s.cfg.Ledger != nil {
+		return 0
+	}
 	s.parkMu.Lock()
 	defer s.parkMu.Unlock()
 	n := 0
 	for _, p := range s.parkedBy {
-		if !p.sess.finalized {
-			// With a ledger the session is preserved across the restart
-			// and this process will never finalize it — waiting would
-			// only stall the drain.
-			if s.cfg.Ledger == nil {
-				n++
-			}
-			continue
-		}
-		if !p.sess.delivered {
+		if !p.sess.finalized || !p.sess.delivered {
 			n++
 		}
 	}
@@ -511,16 +522,19 @@ func (s *Server) sweep(fn func(*session)) {
 	}
 }
 
-func (s *Server) register(sess *session) {
+func (s *Server) register(sess *session, conn net.Conn) {
+	// conn is written under parkMu because a racing claim reads it
+	// there to force-close a stale attachment.
+	s.parkMu.Lock()
+	sess.conn = conn
+	if sess.proto >= 2 {
+		s.attached[sess.token] = sess
+	}
+	s.parkMu.Unlock()
 	sh := &s.shards[sess.id%numShards]
 	sh.mu.Lock()
 	sh.sessions[sess.id] = sess
 	sh.mu.Unlock()
-	if sess.proto >= 2 {
-		s.parkMu.Lock()
-		s.attached[sess.token] = sess
-		s.parkMu.Unlock()
-	}
 }
 
 // unregister detaches the session from the live tables and, when park
@@ -553,26 +567,35 @@ func (s *Server) unregister(sess *session, park bool) {
 	}
 }
 
-// claim removes the parked session for token and returns it. If the
+// claim takes the parked session for token and marks it attached to
+// conn in the same critical section, so the token never resolves to
+// neither table while the resume handshake completes: a second resume
+// racing this one force-closes conn and waits, as for any attachment.
+// The caller must end the claim with bind and serve, or repark. If the
 // token is still attached — the client saw a disconnect the server has
 // not noticed yet — the stale attachment is force-closed and claim
 // waits for it to park.
-func (s *Server) claim(token uint64) *session {
+func (s *Server) claim(token uint64, conn net.Conn) *session {
 	deadline := time.Now().Add(claimTimeout)
 	for {
 		s.parkMu.Lock()
 		if p, ok := s.parkedBy[token]; ok {
 			delete(s.parkedBy, token)
 			p.timer.Stop()
+			p.sess.conn = conn
+			s.attached[token] = p.sess
 			s.parkMu.Unlock()
 			return p.sess
 		}
-		act := s.attached[token]
+		var stale net.Conn
+		if act := s.attached[token]; act != nil {
+			stale = act.conn
+		}
 		s.parkMu.Unlock()
-		if act == nil || time.Now().After(deadline) {
+		if stale == nil || time.Now().After(deadline) {
 			return nil
 		}
-		act.conn.Close()
+		stale.Close()
 		time.Sleep(2 * time.Millisecond)
 	}
 }
@@ -583,6 +606,7 @@ func (s *Server) reap(token uint64) {
 	p, ok := s.parkedBy[token]
 	if ok {
 		delete(s.parkedBy, token)
+		s.noteHandedOn(p.sess)
 	}
 	s.parkMu.Unlock()
 	if ok {
@@ -596,12 +620,31 @@ func (s *Server) reapAll() {
 	ps := make([]*parked, 0, len(s.parkedBy))
 	for _, p := range s.parkedBy {
 		ps = append(ps, p)
+		s.noteHandedOn(p.sess)
 	}
 	s.parkedBy = make(map[uint64]*parked)
 	s.parkMu.Unlock()
 	for _, p := range ps {
 		p.timer.Stop()
 		s.discard(p.sess)
+	}
+}
+
+// handsOn reports whether discard leaves sess open in the ledger for
+// the next process: during a shutdown, a session still owed its verdict
+// or its verdict delivery.
+func (s *Server) handsOn(sess *session) bool {
+	return s.cfg.Ledger != nil && s.closed.Load() && (!sess.finalized || !sess.delivered)
+}
+
+// noteHandedOn records a token that leaves the parked table for
+// discard, if discard will hand the session on, so a resume racing the
+// shutdown is told to retry rather than refused. The caller holds
+// parkMu and removes the token from parkedBy in the same critical
+// section, so the token is never in neither table.
+func (s *Server) noteHandedOn(sess *session) {
+	if s.handsOn(sess) {
+		s.handedOn[sess.token] = struct{}{}
 	}
 }
 
@@ -619,7 +662,7 @@ func (s *Server) discard(sess *session) {
 		// discarded), so the shadow is ours to release.
 		sess.dropShadow()
 	}
-	if s.cfg.Ledger != nil && s.closed.Load() && (!sess.finalized || !sess.delivered) {
+	if s.handsOn(sess) {
 		if !sess.finalized {
 			sess.finalized = true
 			sess.om.Close()
@@ -690,11 +733,16 @@ func (s *Server) specFor(name string) (*specEntry, uint64, error) {
 	return e, epoch, nil
 }
 
-// refuse answers a connection that never became a session.
-func (s *Server) refuse(conn net.Conn, msg string) {
+// refuse answers a connection that never became a session, counting
+// it under its reason. An empty msg hangs up without an answer: the
+// client sees a dropped connection, not a terminal error, and retries.
+func (s *Server) refuse(conn net.Conn, why refusal, msg string) {
 	s.stats.sessionsRefused.Add(1)
-	conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	wire.Write(conn, wire.Error{Msg: msg})
+	s.stats.refusals[why].Add(1)
+	if msg != "" {
+		conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
+		wire.Write(conn, wire.Error{Msg: msg})
+	}
 	conn.Close()
 }
 
@@ -717,7 +765,7 @@ func newToken() uint64 {
 func (s *Server) handleConn(conn net.Conn) {
 	if n := s.active.Add(1); s.cfg.MaxSessions > 0 && n > int64(s.cfg.MaxSessions) {
 		s.active.Add(-1)
-		s.refuse(conn, fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
+		s.refuse(conn, refuseLimit, fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
 		return
 	}
 	defer s.active.Add(-1)
@@ -727,7 +775,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	rec, err := wire.Read(br)
 	if err != nil {
-		s.refuse(conn, fmt.Sprintf("handshake: %v", err))
+		s.refuse(conn, refuseHandshake, fmt.Sprintf("handshake: %v", err))
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -738,28 +786,28 @@ func (s *Server) handleConn(conn net.Conn) {
 	case wire.Resume:
 		s.handleResume(conn, br, rec)
 	default:
-		s.refuse(conn, fmt.Sprintf("handshake: expected hello or resume, got %T", rec))
+		s.refuse(conn, refuseHandshake, fmt.Sprintf("handshake: expected hello or resume, got %T", rec))
 	}
 }
 
 func (s *Server) handleHello(conn net.Conn, br *bufio.Reader, hello wire.Hello) {
 	if hello.Version < wire.MinVersion || hello.Version > wire.Version {
-		s.refuse(conn, fmt.Sprintf("protocol version %d unsupported (server speaks %d..%d)",
+		s.refuse(conn, refuseVersion, fmt.Sprintf("protocol version %d unsupported (server speaks %d..%d)",
 			hello.Version, wire.MinVersion, wire.Version))
 		return
 	}
 	if s.closed.Load() {
-		s.refuse(conn, "server draining")
+		s.refuse(conn, refuseDraining, "server draining")
 		return
 	}
 	entry, epoch, err := s.specFor(hello.Spec)
 	if err != nil {
-		s.refuse(conn, fmt.Sprintf("spec %q: %v", hello.Spec, err))
+		s.refuse(conn, refuseSpec, fmt.Sprintf("spec %q: %v", hello.Spec, err))
 		return
 	}
 	om, err := entry.mon.Online(s.cfg.DB)
 	if err != nil {
-		s.refuse(conn, fmt.Sprintf("session setup: %v", err))
+		s.refuse(conn, refuseSetup, fmt.Sprintf("session setup: %v", err))
 		return
 	}
 	om.Instrument(entry.met)
@@ -785,24 +833,33 @@ func (s *Server) handleHello(conn net.Conn, br *bufio.Reader, hello wire.Hello) 
 			if err := led.SessionOpened(sess.id, sess.token, sess.proto, sess.vehicle, hello.Spec); err != nil {
 				s.stats.ledgerErrors.Add(1)
 				om.Close()
-				s.refuse(conn, fmt.Sprintf("session ledger: %v", err))
+				s.refuse(conn, refuseLedger, fmt.Sprintf("session ledger: %v", err))
 				return
 			}
 		}
 		ack = wire.SessionGrant{Session: sess.id, Token: sess.token, Epoch: s.cfg.Epoch}
 	}
 	s.stats.sessionsOpened.Add(1)
+	// Publish the session before the grant leaves: a client that gets
+	// the grant, loses the connection and resumes at once must find
+	// its token attached (claim then force-closes this attachment and
+	// waits for it to park), never in neither table.
+	s.bind(sess, conn, br)
 	if err := wire.Write(conn, ack); err != nil {
 		conn.Close()
+		s.unregister(sess, false)
 		s.discard(sess)
 		return
 	}
-	s.attach(sess, conn, br)
+	if s.grantHook != nil {
+		s.grantHook(false)
+	}
+	s.serve(sess)
 }
 
 func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) {
 	if res.Version < 2 || res.Version > wire.Version {
-		s.refuse(conn, fmt.Sprintf("protocol version %d unsupported for resume (server speaks 2..%d)",
+		s.refuse(conn, refuseVersion, fmt.Sprintf("protocol version %d unsupported for resume (server speaks 2..%d)",
 			res.Version, wire.Version))
 		return
 	}
@@ -811,13 +868,23 @@ func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) 
 		// process carries: the server's durable state was lost or
 		// rolled back, and silently resuming would serve stale state as
 		// truth. Refuse so the client fails loudly instead.
-		s.refuse(conn, fmt.Sprintf("stale server state: client holds epoch %d, server is at epoch %d",
+		s.refuse(conn, refuseStaleEpoch, fmt.Sprintf("stale server state: client holds epoch %d, server is at epoch %d",
 			res.Epoch, s.cfg.Epoch))
 		return
 	}
-	sess := s.claim(res.Token)
+	sess := s.claim(res.Token, conn)
 	if sess == nil {
-		s.refuse(conn, "unknown or expired session token")
+		s.parkMu.Lock()
+		_, handedOn := s.handedOn[res.Token]
+		s.parkMu.Unlock()
+		if handedOn {
+			// The shutdown left this session open in the ledger for the
+			// next process, where the token resolves again: hang up so
+			// the client retries there.
+			s.refuse(conn, refuseDraining, "")
+			return
+		}
+		s.refuse(conn, refuseUnknownToken, "unknown or expired session token")
 		return
 	}
 	s.stats.sessionsResumed.Add(1)
@@ -832,8 +899,12 @@ func (s *Server) handleResume(conn net.Conn, br *bufio.Reader, res wire.Resume) 
 		s.repark(sess)
 		return
 	}
+	if s.grantHook != nil {
+		s.grantHook(true)
+	}
 	sess.resumeFrom = res.LastEventSeq
-	s.attach(sess, conn, br)
+	s.bind(sess, conn, br)
+	s.serve(sess)
 }
 
 // deliverFinal re-serves a finalized session's event tail and verdict
@@ -868,6 +939,7 @@ func (s *Server) deliverFinal(conn net.Conn, br *bufio.Reader, sess *session, la
 // repark returns a claimed-but-unattached session to the parked table.
 func (s *Server) repark(sess *session) {
 	s.parkMu.Lock()
+	delete(s.attached, sess.token)
 	if !s.closed.Load() || !sess.finalized || !sess.delivered {
 		p := &parked{sess: sess}
 		p.timer = time.AfterFunc(s.cfg.ResumeGrace, func() { s.reap(sess.token) })
@@ -879,10 +951,10 @@ func (s *Server) repark(sess *session) {
 	s.discard(sess)
 }
 
-// attach binds a connection to the session and runs it; afterwards the
-// session either parks for resume or resolves for good.
-func (s *Server) attach(sess *session, conn net.Conn, br *bufio.Reader) {
-	sess.conn = conn
+// bind prepares the session for an attachment over conn and publishes
+// it in the live tables; from here on its token resolves to this
+// attachment. serve runs it.
+func (s *Server) bind(sess *session, conn net.Conn, br *bufio.Reader) {
 	sess.br = br
 	sess.bw = bufio.NewWriterSize(conn, 64<<10)
 	sess.queue = make(chan item, s.cfg.QueueDepth)
@@ -892,8 +964,12 @@ func (s *Server) attach(sess *session, conn net.Conn, br *bufio.Reader) {
 	sess.endMu.Lock()
 	sess.suspended = false
 	sess.endMu.Unlock()
+	s.register(sess, conn)
+}
 
-	s.register(sess)
+// serve runs a bound attachment; afterwards the session either parks
+// for resume or resolves for good.
+func (s *Server) serve(sess *session) {
 	park := sess.run()
 	s.unregister(sess, park)
 	if !park {

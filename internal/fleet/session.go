@@ -537,9 +537,10 @@ func (sess *session) work() {
 			return
 		}
 		// The sampling decision is one atomic increment; a sampled
-		// batch additionally gets core's decode/eval stage attribution
-		// and its spans recorded (see flightglue.go).
-		sampled := sess.srv.cfg.Flight.Sample()
+		// batch additionally gets core's stage timing (decode/eval and
+		// per-rule attribution, the monitor's latency histograms) and,
+		// with a recorder, its spans recorded (see flightglue.go).
+		sampled := sess.sample()
 		var tApply time.Time
 		if sampled {
 			tApply = time.Now()

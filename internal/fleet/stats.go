@@ -14,6 +14,7 @@ type counters struct {
 	sessionsOpened  *obs.Counter
 	sessionsClosed  *obs.Counter
 	sessionsRefused *obs.Counter
+	refusals        [numRefusals]*obs.Counter
 	sessionsResumed *obs.Counter
 	sessionsReaped  *obs.Counter
 
@@ -55,10 +56,17 @@ type counters struct {
 // newCounters registers the server metric families on reg.
 func newCounters(reg *obs.Registry) counters {
 	c := func(name, help string) *obs.Counter { return reg.Counter(name, help) }
+	var refusals [numRefusals]*obs.Counter
+	for why, name := range refusalNames {
+		refusals[why] = reg.Counter("cpsmon_fleet_refusals_total",
+			"Connections turned away before becoming a session, by reason.",
+			obs.Label{Name: "reason", Value: name})
+	}
 	return counters{
 		sessionsOpened:  c("cpsmon_fleet_sessions_opened_total", "Sessions accepted over the server's lifetime."),
 		sessionsClosed:  c("cpsmon_fleet_sessions_closed_total", "Sessions resolved for good (verdict delivered or reaped)."),
 		sessionsRefused: c("cpsmon_fleet_sessions_refused_total", "Connections turned away at the session cap or for a bad handshake."),
+		refusals:        refusals,
 		sessionsResumed: c("cpsmon_fleet_sessions_resumed_total", "Resume handshakes that reattached a parked session."),
 		sessionsReaped:  c("cpsmon_fleet_sessions_reaped_total", "Parked sessions whose resume grace expired unclaimed."),
 
@@ -94,6 +102,35 @@ func newCounters(reg *obs.Registry) counters {
 		ingestLatency: reg.Histogram("cpsmon_fleet_ingest_batch_latency_seconds",
 			"Queue-to-evaluated latency of one frame batch.", obs.DefaultLatencyBuckets()),
 	}
+}
+
+// refusal is why a connection was turned away before it became a
+// session: the reason label of cpsmon_fleet_refusals_total.
+type refusal int
+
+const (
+	refuseLimit        refusal = iota // at the session cap
+	refuseHandshake                   // unreadable or unexpected first record
+	refuseVersion                     // protocol version outside the server's range
+	refuseDraining                    // hello during a drain; resume of a session the drain handed on (hang-up)
+	refuseSpec                        // spec selection failed to resolve or compile
+	refuseSetup                       // monitor session could not be built
+	refuseLedger                      // the session-opened ledger append failed
+	refuseUnknownToken                // resume token neither attached nor parked
+	refuseStaleEpoch                  // resume grant from a later ledger epoch
+	numRefusals
+)
+
+var refusalNames = [numRefusals]string{
+	refuseLimit:        "limit",
+	refuseHandshake:    "handshake",
+	refuseVersion:      "version",
+	refuseDraining:     "draining",
+	refuseSpec:         "spec",
+	refuseSetup:        "setup",
+	refuseLedger:       "ledger",
+	refuseUnknownToken: "unknown_token",
+	refuseStaleEpoch:   "stale_epoch",
 }
 
 // Stats is a point-in-time snapshot of the server's counters.

@@ -115,13 +115,18 @@ type slot struct {
 	stage   atomic.Uint32
 }
 
+// DefaultSampleEvery is the default sampling period: one batch in 64
+// is traced. The fleet server stage-times batches at this period even
+// without a recorder, so the monitor's latency histograms stay fed.
+const DefaultSampleEvery = 64
+
 // Config sizes a Recorder. The zero value selects the defaults.
 type Config struct {
 	// RingSize is the span ring capacity, rounded up to a power of
 	// two. Default 4096 (~256KiB of slots).
 	RingSize int
 	// SampleEvery records every Nth batch; 1 records every batch.
-	// Default 64.
+	// Default DefaultSampleEvery.
 	SampleEvery int
 	// Exemplars is how many slowest end-to-end traces are retained.
 	// Default 8.
@@ -166,7 +171,7 @@ func New(cfg Config) *Recorder {
 	}
 	every := cfg.SampleEvery
 	if every <= 0 {
-		every = 64
+		every = DefaultSampleEvery
 	}
 	keep := cfg.Exemplars
 	if keep <= 0 {

@@ -177,6 +177,62 @@ func TestStreamChecksArgLengths(t *testing.T) {
 	}
 }
 
+// TestStreamTimeRules checks the per-rule timing accumulator: armed,
+// Steps add to each rule's slot; disarmed, Step leaves the
+// accumulator alone and produces the same events as an armed step.
+func TestStreamTimeRules(t *testing.T) {
+	rs := compileOne(t, `spec A { assert x > 0 } spec B { assert eventually[0:20ms](x > 0) }`, "x")
+	timed, err := rs.NewStreamChecker([]string{"x"}, 10*time.Millisecond, EvalOptions{})
+	if err != nil {
+		t.Fatalf("NewStreamChecker: %v", err)
+	}
+	plain, err := rs.NewStreamChecker([]string{"x"}, 10*time.Millisecond, EvalOptions{})
+	if err != nil {
+		t.Fatalf("NewStreamChecker: %v", err)
+	}
+	if timed.NumRules() != 2 {
+		t.Fatalf("NumRules = %d, want 2", timed.NumRules())
+	}
+	acc := make([]int64, timed.NumRules())
+	xs := []float64{1, 0, 0, 0, 1, 1, 0, 1}
+	for step, x := range xs {
+		armed := step < 4
+		if armed {
+			timed.TimeRules(acc)
+		} else {
+			timed.TimeRules(nil)
+		}
+		before := append([]int64(nil), acc...)
+		got, err := timed.Step([]float64{x}, []bool{true})
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		got = append([]Event(nil), got...)
+		want, err := plain.Step([]float64{x}, []bool{true})
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: timed checker emitted %v, untimed %v", step, got, want)
+		}
+		for i := range acc {
+			if armed && acc[i] < before[i] {
+				t.Errorf("step %d: armed rule %d accumulator shrank %d -> %d", step, i, before[i], acc[i])
+			}
+			if !armed && acc[i] != before[i] {
+				t.Errorf("step %d: disarmed rule %d accumulator moved %d -> %d", step, i, before[i], acc[i])
+			}
+		}
+		if step == 3 {
+			for i, n := range acc {
+				if n <= 0 {
+					t.Errorf("rule %d accumulated %dns over the armed steps, want positive", i, n)
+				}
+			}
+		}
+	}
+}
+
 func TestStreamRejectsBadPeriod(t *testing.T) {
 	rs := compileOne(t, `spec R { assert x }`, "x")
 	if _, err := rs.NewStreamChecker([]string{"x"}, 0, EvalOptions{}); err == nil {

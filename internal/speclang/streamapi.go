@@ -23,20 +23,29 @@ type StreamChecker struct {
 	ctx   stepCtx
 	evbuf []Event
 
-	// observe, when set, receives the wall-clock nanoseconds each rule
-	// spent inside Step, keyed by rule index in rule-set order. Nil (the
-	// default) costs nothing on the hot path.
-	observe func(rule int, nanos int64)
+	// ruleNanos, while armed by TimeRules, accumulates the wall-clock
+	// nanoseconds each rule spends inside Step, by rule index in
+	// rule-set order. Nil (the default) means Step reads no clock.
+	ruleNanos []int64
 }
 
-// Observe installs a per-rule step-latency observer: fn is called once
-// per rule per Step with the rule's index (rule-set order) and the
-// nanoseconds its incremental evaluation took. Pass nil to remove the
-// observer. The callback runs on the Step hot path, so it must not
-// block or allocate; metric counters are the intended consumer.
-func (sc *StreamChecker) Observe(fn func(rule int, nanos int64)) {
-	sc.observe = fn
+// TimeRules arms per-rule step timing: every subsequent Step adds each
+// rule's evaluation nanoseconds to acc[i], i being the rule's index in
+// rule-set order. acc must hold at least one slot per rule; the caller
+// owns it and resets it as it sees fit. Pass nil to disarm — an
+// unarmed Step performs no clock read, so timing costs nothing on the
+// steps nobody samples.
+func (sc *StreamChecker) TimeRules(acc []int64) {
+	if acc == nil {
+		sc.ruleNanos = nil
+		return
+	}
+	sc.ruleNanos = acc[:len(sc.rules)]
 }
+
+// NumRules returns the number of rules Step evaluates; TimeRules needs
+// an accumulator at least this long.
+func (sc *StreamChecker) NumRules() int { return len(sc.rules) }
 
 // NewStreamChecker builds an online checker over the given signal
 // universe (names index the value slices passed to Step).
@@ -84,7 +93,7 @@ func (sc *StreamChecker) Step(vals []float64, upd []bool) ([]Event, error) {
 	}
 	sc.ctx.vals, sc.ctx.upd = vals, upd
 	events := sc.evbuf[:0]
-	if sc.observe == nil {
+	if sc.ruleNanos == nil {
 		for _, r := range sc.rules {
 			events = r.step(&sc.ctx, events)
 		}
@@ -92,7 +101,7 @@ func (sc *StreamChecker) Step(vals []float64, upd []bool) ([]Event, error) {
 		for i, r := range sc.rules {
 			t0 := time.Now()
 			events = r.step(&sc.ctx, events)
-			sc.observe(i, time.Since(t0).Nanoseconds())
+			sc.ruleNanos[i] += int64(time.Since(t0))
 		}
 	}
 	sc.ctx.vals, sc.ctx.upd = nil, nil
